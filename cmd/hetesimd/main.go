@@ -23,7 +23,8 @@
 // -max-inflight concurrent queries is shed with 429, and a timed-out
 // exact hetesim query degrades to -degrade-walks Monte Carlo walks
 // (response marked "approximate": true; 0 disables the fallback).
-// SIGINT/SIGTERM drain in-flight requests for up to -shutdown-grace.
+// SIGINT/SIGTERM drain in-flight requests, then wait for a reload's
+// background re-warm, for up to -shutdown-grace in all.
 //
 // POST /v1/batch accepts up to -batch-max-queries queries per request and
 // executes them on -batch-workers goroutines via the path-group scheduler;
@@ -327,6 +328,17 @@ func main() {
 		drainCtx, cancel := context.WithTimeout(context.Background(), *shutdownGrace)
 		defer cancel()
 		drainErr := httpSrv.Shutdown(drainCtx)
+		// A reload's re-warm and snapshot rewrite may still be running
+		// (drain refuses new ones, so this ends): let it finish within
+		// what is left of the grace, so its save is not cut off at exit
+		// and the final save includes the re-warmed chains.
+		rewarmed := make(chan struct{})
+		go func() { srv.Wait(); close(rewarmed) }()
+		select {
+		case <-rewarmed:
+		case <-drainCtx.Done():
+			log.Printf("hetesimd: background re-warm still running at the end of the grace period")
+		}
 		if err := srv.CloseWAL(); err != nil {
 			log.Printf("hetesimd: closing wal: %v", err)
 		}

@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -332,6 +333,42 @@ func TestReadiness(t *testing.T) {
 	getJSON(t, ts.URL+"/readyz", http.StatusOK, &body)
 	if body["status"] != "ready" {
 		t.Errorf("readyz after materialization = %v", body)
+	}
+}
+
+// TestPrecomputeBackgroundWait checks that Wait covers the whole warmup,
+// including the snapshot save that runs after the flip to ready: once it
+// returns, the snapshot is in place, loads into a fresh server over the
+// same graph, and no temp file is left behind.
+func TestPrecomputeBackgroundWait(t *testing.T) {
+	dir := t.TempDir()
+	snapPath := filepath.Join(dir, "chains.snap")
+	srv := New(lifecycleGraph(t), WithSnapshotPath(snapPath), WithLogf(t.Logf))
+	if err := srv.PrecomputeBackground([]string{"APC", "APCPA"}, t.Logf); err != nil {
+		t.Fatal(err)
+	}
+	srv.Wait()
+	if !srv.Ready() {
+		t.Fatal("server not ready after Wait")
+	}
+	tmps, err := filepath.Glob(filepath.Join(dir, "*.tmp-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tmps) != 0 {
+		t.Fatalf("temp files left after Wait: %v", tmps)
+	}
+
+	fresh := New(lifecycleGraph(t), WithSnapshotPath(snapPath), WithLogf(t.Logf))
+	warm, err := fresh.WarmStart()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !warm {
+		t.Fatal("snapshot saved by the warmup did not warm a fresh server")
+	}
+	if got, want := fresh.current().engine.CacheStats().Chain, srv.current().engine.CacheStats().Chain; got != want {
+		t.Fatalf("fresh server warmed %d chains, warmup materialized %d", got, want)
 	}
 }
 

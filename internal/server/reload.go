@@ -270,6 +270,12 @@ var errReloadBusy = errors.New("server: reload already in progress")
 // then swaps the engine-set pointer. In-flight queries finish against the
 // set they started with; new requests see the new graph. Any failure
 // leaves the old set serving untouched.
+//
+// Reload returns at the swap. After a successful swap a background
+// goroutine keeps running: it re-materializes the recorded precompute
+// paths on the new engine set (instant for chains the snapshot warmed)
+// and then, with a snapshot path configured, rewrites the snapshot for
+// the new generation. Wait blocks until it is done.
 func (s *Server) Reload(ctx context.Context) (*ReloadResult, error) {
 	if s.graphPath == "" {
 		return nil, errors.New("server: no reload graph source configured")
@@ -368,7 +374,7 @@ func (s *Server) reloadLocked(ctx context.Context) (*ReloadResult, error) {
 	s.specMu.Lock()
 	specs := append([]string(nil), s.precomputeSpecs...)
 	s.specMu.Unlock()
-	go func() {
+	s.goBackground(func() {
 		for _, spec := range specs {
 			if err := s.precomputeOn(next, spec); err != nil {
 				s.logf("server: reload precompute %s: %v", spec, err)
@@ -379,7 +385,7 @@ func (s *Server) reloadLocked(ctx context.Context) (*ReloadResult, error) {
 				s.logf("server: post-reload snapshot save: %v", err)
 			}
 		}
-	}()
+	})
 
 	return &ReloadResult{
 		Nodes:       g.TotalNodes(),

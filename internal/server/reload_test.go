@@ -355,6 +355,7 @@ func TestReloadWarmsFromSnapshot(t *testing.T) {
 	}
 
 	srv := New(reloadGraph(t, 0), WithReloadFrom(graphPath), WithSnapshotPath(snapPath), WithLogf(t.Logf))
+	defer srv.Wait() // the post-reload snapshot save writes into dir
 	srv.MarkReady()
 	res, err := srv.Reload(context.Background())
 	if err != nil {

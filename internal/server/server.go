@@ -102,6 +102,13 @@ type Server struct {
 	reloadMu sync.Mutex // serializes Reload
 	specMu   sync.Mutex // guards precomputeSpecs
 
+	// bg counts the background materialization goroutines (warmup and
+	// post-reload re-warm, each ending in a snapshot save) that Wait
+	// blocks on. bgMu orders bg.Add against bg.Wait, as WaitGroup
+	// requires when a reload may start one while Wait is blocked.
+	bgMu sync.Mutex
+	bg   sync.WaitGroup
+
 	// walMu is the single-writer lock of the mutation path: WAL append,
 	// engine-set swap, applied-key table and compaction all happen under
 	// it — and the reload's read-build-swap window, so a reload can never
@@ -541,9 +548,11 @@ func (s *Server) Precompute(spec string) error {
 // warming (/readyz answers 503) until materialization finishes, then
 // flips to ready; with no specs it flips immediately. A path that fails
 // to materialize is logged and skipped rather than blocking readiness,
-// since its queries can still be answered from cold caches. After a
-// successful warmup the chain cache is persisted to the snapshot path,
-// so the next boot warm-starts.
+// since its queries can still be answered from cold caches. After the
+// warmup the chain cache is persisted to the snapshot path, so the next
+// boot warm-starts. That save runs after the flip to ready, so it may
+// still be running when Ready first reports true; Wait blocks until the
+// materialization and the save are done.
 func (s *Server) PrecomputeBackground(specs []string, logf func(format string, args ...any)) error {
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -563,7 +572,7 @@ func (s *Server) PrecomputeBackground(specs []string, logf func(format string, a
 		return nil
 	}
 	s.setState(StateWarming)
-	go func() {
+	s.goBackground(func() {
 		for _, p := range paths {
 			if err := es.engine.Precompute(context.Background(), p); err != nil {
 				logf("server: precomputing %s: %v", p, err)
@@ -577,8 +586,29 @@ func (s *Server) PrecomputeBackground(specs []string, logf func(format string, a
 				logf("server: post-warmup snapshot save: %v", err)
 			}
 		}
-	}()
+	})
 	return nil
+}
+
+// goBackground runs f in a goroutine that Wait waits for.
+func (s *Server) goBackground(f func()) {
+	s.bgMu.Lock()
+	s.bg.Add(1)
+	s.bgMu.Unlock()
+	go func() {
+		defer s.bg.Done()
+		f()
+	}()
+}
+
+// Wait blocks until the background work started by PrecomputeBackground
+// and Reload — path materialization and the snapshot save that follows
+// it — has finished. Work started while Wait blocks is not waited for;
+// the goroutine that starts it blocks until Wait returns.
+func (s *Server) Wait() {
+	s.bgMu.Lock()
+	defer s.bgMu.Unlock()
+	s.bg.Wait()
 }
 
 type errorBody struct {
